@@ -904,9 +904,10 @@ class SubscriptionFanout:
     interning/uid state, but a subscriber connection receives frames
     from two encoders (its ack encoder and its group's shared cache).
     Every switch is fenced with a RESET — acks are always preceded by
-    the ack encoder's RESET, and joining a group always lands a RESET
-    (the cache's own when it was dirty, a bare one otherwise) before
-    any group frame.
+    the ack encoder's RESET, and every ack is followed by a RESET back
+    onto the connection's group, whether it joined a new group or kept
+    its old one (the cache's own when it was dirty, a bare one
+    otherwise) before any group frame.
 
     With no subscribers every method is a guarded no-op, so the default
     topology's byte stream is untouched.
@@ -1002,7 +1003,13 @@ class SubscriptionFanout:
 
     def _regroup(self, conn: _SubscriberConn) -> None:
         """Move the connection to the group keyed by its combined
-        signature, fencing its decoder with a RESET on every join."""
+        signature, then fence its decoder back onto the group cache.
+
+        The fence runs even when the signature did not change (a
+        re-SUBSCRIBE of a predicate already held): the ack that preceded
+        this call reset the decoder to the ack encoder's state, so the
+        next group frame would otherwise reference interning entries
+        the decoder no longer has."""
         sigs = sorted(
             sig
             for sig in (
@@ -1011,16 +1018,16 @@ class SubscriptionFanout:
             if sig
         )
         combined = "|".join(sigs)
-        if conn.group is not None and conn.group.signature == combined:
-            return
-        self._leave_group(conn)
-        if not combined:
-            return
-        group = self._groups.get(combined)
-        if group is None:
-            group = self._groups[combined] = _SubGroup(combined)
-        group.members[conn.conn_id] = conn
-        conn.group = group
+        group = conn.group
+        if group is None or group.signature != combined:
+            self._leave_group(conn)
+            if not combined:
+                return
+            group = self._groups.get(combined)
+            if group is None:
+                group = self._groups[combined] = _SubGroup(combined)
+            group.members[conn.conn_id] = conn
+            conn.group = group
         reset_frame = group.cache.attach(conn.conn_id)
         self.stats.sub_resets += 1
         if reset_frame is not None:
@@ -1499,10 +1506,13 @@ async def run_net_scenario(
         events_in=len(script),
         events_mirrored=site.mirrored_events,
         events_processed_central=site.main.ede.processed,
-        updates_distributed=len(site.main.updates),
+        updates_distributed=site.main.updates_distributed,
         requests_served=sum(len(m.responses) for m in mains),
         checkpoint_rounds=site.coordinator.rounds_started,
         checkpoint_commits=site.coordinator.rounds_committed,
+        backup_peak=max(
+            [site.backup.peak] + [m.site.backup.peak for m in mirrors]
+        ),
         adaptations=site.adaptation.adaptations if site.adaptation else 0,
         reversions=site.adaptation.reversions if site.adaptation else 0,
         snapshot_builds=sum(m.snapshot_builds for m in mains),
@@ -1541,6 +1551,7 @@ def _mirror_process_main(name: str, host: str, port: int,
                     "site": name,
                     "events_applied": mirror.site.main.ede.processed,
                     "requests_served": len(mirror.site.main.responses),
+                    "backup_peak": mirror.site.backup.peak,
                     "digest": list(mirror.site.main.ede.state_digest()),
                     "frames_received": mirror.stats.frames_received,
                     "bytes_received": mirror.stats.bytes_received,
@@ -1744,6 +1755,9 @@ class NetProcessRunner:
             "events_mirrored": site.mirrored_events,
             "checkpoint_rounds": site.coordinator.rounds_started,
             "checkpoint_commits": site.coordinator.rounds_committed,
+            "backup_peak": max(
+                [site.backup.peak] + [m.get("backup_peak", 0) for m in mirrors]
+            ),
             "wall_seconds": wall,
             "events_per_second": (
                 len(self.script) / wall if wall > 0 else 0.0

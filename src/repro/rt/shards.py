@@ -106,6 +106,8 @@ class ShardedRunSummary:
     replicas_consistent: bool
     checkpoint_rounds: int
     checkpoint_commits: int
+    #: deepest any site's backup queue ran, over every shard
+    backup_peak: int
     requests_served: int
     client_latencies: List[float] = field(default_factory=list)
     detector_domains: List[List[str]] = field(default_factory=list)
@@ -262,6 +264,13 @@ class ShardRuntime:
         return [self.digest()] + [
             m.site.main.ede.state_digest() for m in self.mirrors
         ]
+
+    def backup_peak(self) -> int:
+        """Deepest backup queue of any site in this shard."""
+        return max(
+            [self.central.site.backup.peak]
+            + [m.site.backup.peak for m in self.mirrors]
+        )
 
     def stats(self) -> WireStats:
         merged = WireStats()
@@ -831,6 +840,7 @@ async def run_sharded_scenario(
         checkpoint_commits=sum(
             rt.central.site.coordinator.rounds_committed for rt in shards
         ),
+        backup_peak=max(rt.backup_peak() for rt in shards),
         requests_served=sum(len(m.responses) for m in mains),
         client_latencies=(
             client_task.result() if client_task is not None else []
@@ -887,6 +897,7 @@ def _shard_process_main(
                     "digest": [list(f) for f in rt.digest()],
                     "replicas_consistent": len(set(rt.replica_digests())) <= 1,
                     "checkpoint_rounds": rt.central.site.coordinator.rounds_started,
+                    "backup_peak": rt.backup_peak(),
                     "frames_received": stats.frames_received,
                     "bytes_received": stats.bytes_received,
                     "detector_sites": list(rt.membership.statuses),

@@ -42,9 +42,56 @@ from ..shard.handoff import (
 )
 from .channels import AsyncChannel, AsyncSubscription
 
-__all__ = ["EOS", "AsyncMainUnit", "AsyncCentralSite", "AsyncMirrorSite"]
+__all__ = [
+    "EOS",
+    "AsyncMainUnit",
+    "CheckpointCadence",
+    "AsyncCentralSite",
+    "AsyncMirrorSite",
+]
 
 EOS = "__end_of_stream__"
+
+
+class CheckpointCadence:
+    """Whether a live cadence point may start a new checkpoint round.
+
+    The paper's rule starts a round at every cadence point and lets it
+    supersede a round still collecting replies.  On a saturated event
+    loop that supersedes every round before its CHKPT -> CHKPT_REP round
+    trip can finish, so nothing ever commits and every backup queue
+    keeps the whole stream.  Here a round still collecting is
+    superseded only once it has stayed open for ``patience`` cadence
+    points.  ``patience`` starts at 1 (the paper's rule), doubles on
+    every supersede up to :attr:`MAX_PATIENCE` and halves on every
+    commit, so it settles near the round-trip time the loop actually
+    delivers.  A round wedged by a lost CHKPT or CHKPT_REP is still
+    superseded within ``MAX_PATIENCE`` cadence points.
+    """
+
+    MAX_PATIENCE = 16
+
+    __slots__ = ("patience", "_waited")
+
+    def __init__(self) -> None:
+        self.patience = 1
+        #: cadence points the collecting round has seen so far
+        self._waited = 0
+
+    def admit(self, collecting: bool) -> bool:
+        """One cadence point: True when a new round should start now."""
+        if not collecting:
+            self._waited = 0
+            return True
+        self._waited += 1
+        if self._waited < self.patience:
+            return False
+        self._waited = 0
+        self.patience = min(self.patience * 2, self.MAX_PATIENCE)
+        return True
+
+    def on_commit(self) -> None:
+        self.patience = max(1, self.patience // 2)
 
 
 class AsyncMainUnit:
@@ -70,9 +117,12 @@ class AsyncMainUnit:
         self.checkpointer = MainUnitCheckpointer(site)
         self.inbox: asyncio.Queue = asyncio.Queue()
         self.requests: asyncio.Queue = asyncio.Queue()
-        self.updates: List[UpdateEvent] = []
         self.responses: List[InitStateResponse] = []
-        self.update_delays: List[float] = []
+        #: outputs distributed (distribute_updates on) and the sum of
+        #: their update delays: counters, not lists, so a long run does
+        #: not retain every output
+        self.updates_distributed = 0
+        self.update_delay_sum = 0.0
         self._pending_requests = 0
         self.distribute_updates = False
         #: snapshot fast path (all off = the original serve-from-scratch
@@ -118,12 +168,13 @@ class AsyncMainUnit:
             ede = self.ede
             note_processed = self.checkpointer.note_processed
             if self.distribute_updates:
+                clock = self.clock
                 for event in events:
                     outputs = ede.process(event)
                     note_processed(event.stream, event.seqno)
                     for out in outputs:
-                        self.updates.append(out)
-                        self.update_delays.append(self.clock() - out.entered_at)
+                        self.updates_distributed += 1
+                        self.update_delay_sum += clock() - out.entered_at
             elif getattr(ede, "supports_discard", False):
                 # outputs are dropped anyway: one fused bulk call skips
                 # building per-event update copies and per-event frames;
@@ -283,6 +334,7 @@ class AsyncCentralSite:
         self.backup = BackupQueue()
         self.engine = config.build_engine()
         self.coordinator = CheckpointCoordinator(participants)
+        self.cadence = CheckpointCadence()
         self.clock_vt = VectorTimestamp()
         self.processed_events = 0
         self.mirrored_events = 0
@@ -411,7 +463,7 @@ class AsyncCentralSite:
             await self._mirror(self.engine.on_send(out))
         for out in self.engine.flush("send"):
             await self._mirror([out])
-        await self._initiate_checkpoint()
+        await self._initiate_checkpoint(final=True)
         await self.main.inbox.put(EOS)
         self.stream_done.set()
 
@@ -431,8 +483,15 @@ class AsyncCentralSite:
         self.backup.extend(outs)
         self.mirrored_events += len(outs)
 
-    async def _initiate_checkpoint(self) -> None:
-        msg = self.coordinator.initiate(self.backup.last_vt())
+    async def _initiate_checkpoint(self, final: bool = False) -> None:
+        """Start a round at a cadence point (``final``: end of stream,
+        which always starts one so the last commit covers every event)."""
+        proposal = self.backup.last_vt()
+        if proposal is None:
+            return
+        if not final and not self.cadence.admit(self.coordinator.collecting):
+            return
+        msg = self.coordinator.initiate(proposal)
         if msg is None:
             return
         reply = self.main.checkpointer.on_chkpt(msg, self.monitor_readings())
@@ -465,6 +524,7 @@ class AsyncCentralSite:
                 self.adaptation_log.append(
                     (self.clock(), command.action, command.config.function_name)
                 )
+        self.cadence.on_commit()
         self.backup.trim(self.main.checkpointer.on_commit(commit))
         await self.ctrl_channel.publish(commit)
 

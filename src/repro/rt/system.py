@@ -42,6 +42,10 @@ class AsyncRunSummary:
     requests_served: int = 0
     checkpoint_rounds: int = 0
     checkpoint_commits: int = 0
+    #: deepest any site's backup queue ran: committed rounds keep it
+    #: near ``checkpoint_freq`` x the rounds a commit takes, not the
+    #: stream length
+    backup_peak: int = 0
     adaptations: int = 0
     reversions: int = 0
     #: snapshot fast-path accounting, aggregated across all sites
@@ -295,11 +299,14 @@ class AsyncMirroredServer:
             events_in=len(script),
             events_mirrored=central.mirrored_events,
             events_processed_central=central.main.ede.processed,
-            updates_distributed=len(central.main.updates),
+            updates_distributed=central.main.updates_distributed,
             requests_served=len(central.main.responses)
             + sum(len(m.main.responses) for m in self.mirrors),
             checkpoint_rounds=central.coordinator.rounds_started,
             checkpoint_commits=central.coordinator.rounds_committed,
+            backup_peak=max(
+                [central.backup.peak] + [m.backup.peak for m in self.mirrors]
+            ),
             adaptations=(
                 central.adaptation.adaptations if central.adaptation else 0
             ),
@@ -315,8 +322,8 @@ class AsyncMirroredServer:
             + [m.main.ede.state_digest() for m in alive_mirrors],
             wall_seconds=time.monotonic() - t0,
             mean_update_delay=(
-                sum(central.main.update_delays) / len(central.main.update_delays)
-                if central.main.update_delays
+                central.main.update_delay_sum / central.main.updates_distributed
+                if central.main.updates_distributed
                 else 0.0
             ),
             channel_high_watermark=max(

@@ -117,3 +117,4 @@ def test_failure_domains_are_per_shard():
     # per-shard checkpoint coordinators actually ran rounds
     assert summary.checkpoint_rounds > 0
     assert summary.checkpoint_commits > 0
+    assert summary.backup_peak > 0

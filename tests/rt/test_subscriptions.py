@@ -9,11 +9,15 @@ handoffs so the matched stream is shard-count-invariant.
 
 import asyncio
 
-from repro.core.events import HANDOFF
+import pytest
+
+from repro.core.events import HANDOFF, EventBatch, UpdateEvent, VectorTimestamp
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt.net import run_net_scenario
+from repro.rt.net import SubscriptionFanout, WireStats, run_net_scenario
 from repro.rt.shards import run_sharded_scenario
+from repro.sub.messages import Subscribe
 from repro.sub.predicate import ByAirport, ByFlight, ByKind, Or
+from repro.wire import WireDecoder
 
 SEED = 31
 
@@ -95,6 +99,61 @@ def test_net_subscribers_without_mirrors_hit_central():
     assert len(got) == sum(
         1 for se in sc.fresh_events() if se.event.key == "DL102"
     )
+
+
+# --------------------------------------------------- broker re-SUBSCRIBE
+class _BufferWriter:
+    """Stands in for a subscriber connection's StreamWriter."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, frame):
+        self.data += frame
+
+
+def _pushed(writer):
+    """Every event one connection's decoder recovers from its bytes."""
+    events = []
+    for msg in WireDecoder().decode_all(bytes(writer.data)):
+        if isinstance(msg, EventBatch):
+            events.extend(msg.events)
+        elif isinstance(msg, UpdateEvent):
+            events.append(msg)
+    return [(ev.stream, ev.seqno, ev.key, ev.kind) for ev in events]
+
+
+@pytest.mark.parametrize("retry_sub_id", [1, 2], ids=["same-sub-id", "new-sub-id"])
+def test_resubscribe_keeps_pushed_streams_decodable(retry_sub_id):
+    """Re-sending a SUBSCRIBE for a predicate the connection already
+    holds leaves its group unchanged; the ack still resets the decoder,
+    so the broker must fence it back onto the group cache.  A second
+    member of the same group must keep decoding too."""
+    vt = VectorTimestamp()
+    stream = []
+    for se in script().fresh_events():
+        vt = vt.advanced(se.event.stream, se.event.seqno)
+        stream.append(se.event.stamped(vt, 0.0))
+    flight = stream[0].key
+    expected = [
+        (ev.stream, ev.seqno, ev.key, ev.kind) for ev in stream if ev.key == flight
+    ]
+    fan = SubscriptionFanout(WireStats())
+    writers = {name: _BufferWriter() for name in ("alice", "bob")}
+    conns = {name: fan.attach(name, w) for name, w in writers.items()}
+    for name, conn in conns.items():
+        fan.apply(conn, Subscribe.from_predicate(name, 1, ByFlight(flight)))
+    half = len(stream) // 2
+    fan.fanout(EventBatch(stream[:half]))
+    fan.apply(
+        conns["alice"],
+        Subscribe.from_predicate("alice", retry_sub_id, ByFlight(flight)),
+    )
+    assert fan.group_count() == 1
+    fan.fanout(EventBatch(stream[half:]))
+    fan.eos()
+    assert _pushed(writers["alice"]) == expected
+    assert _pushed(writers["bob"]) == expected
 
 
 # --------------------------------------------------------- sharded push
