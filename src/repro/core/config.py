@@ -127,7 +127,9 @@ class MirrorConfig:
     #: ready events into one wire message (sum of event sizes + one
     #: header), paying the per-message channel costs once per batch.
     #: 1 = one message per event — the paper's configuration; every
-    #: figure reproduces bit-for-bit at the default.
+    #: figure reproduces bit-for-bit at the default.  The live runtime
+    #: (``rt``) drains whatever is queued at any value; there it only
+    #: raises the drain cap (DESIGN.md §8).
     batch_size: int = 1
     #: snapshot fast path: serve initialization requests from the
     #: generation-cached view when state has not changed (cache hits and

@@ -13,16 +13,21 @@ Backends:
   central shards behind an ingress router; with ``--processes`` each
   shard (central + its mirrors) is a real OS process.
 
-Prints a JSON summary to stdout.
+Prints a JSON summary to stdout (state digests shortened to a
+fixed-length hash) and exits 1 when the run failed a correctness check:
+replicas inconsistent, fewer requests served than issued, or a handoff
+transfer started but never completed.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
+import sys
 from dataclasses import asdict
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..ois.flightdata import FlightDataConfig, generate_script
 
@@ -79,6 +84,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _digest_hash(digest: Any) -> str:
+    """Fixed-length stand-in for a full flight-state digest.  Tuples and
+    lists hash alike, so single-process and ``--processes`` runs (whose
+    digests cross a JSON file) print the same hash for the same state."""
+    blob = json.dumps(digest, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _compact(value: Any) -> Any:
+    """Replace every ``*digest`` field by its hash and every ``*digests``
+    list by a list of hashes, in nested dicts and lists too."""
+    if isinstance(value, list):
+        return [_compact(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    out: Dict[str, Any] = {}
+    for key, item in value.items():
+        if key.endswith("digest"):
+            out[key] = _digest_hash(item)
+        elif key.endswith("digests"):
+            out[key] = [_digest_hash(d) for d in item]
+        else:
+            out[key] = _compact(item)
+    return out
+
+
+def _failures(payload: Dict[str, Any], issued: int) -> List[str]:
+    """Why the run failed its correctness checks (empty: it passed)."""
+    failures = []
+    if not payload.get("replicas_consistent", False):
+        failures.append("replicas inconsistent")
+    client = payload.get("client")
+    if isinstance(client, dict):  # --processes: the client's own counts
+        issued = client.get("requests", issued)
+        served = client.get("responses", 0)
+    else:
+        served = payload.get("requests_served", 0)
+    if served < issued:
+        failures.append(f"{served} of {issued} requests served")
+    started = payload.get("transfers_started", 0)
+    completed = payload.get("transfers_completed", 0)
+    if started != completed:
+        failures.append(
+            f"{completed} of {started} handoff transfers completed"
+        )
+    return failures
+
+
+def _report(payload: Dict[str, Any], issued: int) -> int:
+    """Print the JSON summary; exit status 1 if a check failed."""
+    print(json.dumps(_compact(payload), indent=2, default=list))
+    failures = _failures(payload, issued)
+    for failure in failures:
+        print(f"rt: FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(list(argv) if argv is not None else None)
     if args.mirrors < 0 or args.requests < 0:
@@ -127,8 +189,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 n_requests=args.requests,
             ).run()
             result["event_loop"] = loop_impl
-            print(json.dumps(result, indent=2, default=list))
-            return 0
+            return _report(result, args.requests)
         request_keys = sorted({se.event.key for se in script.fresh_events()})
         summary = asyncio.run(
             run_sharded_scenario(
@@ -144,8 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload.pop("shard_map", None)
         payload["backend"] = "tcp-sharded(single-process)"
         payload["event_loop"] = loop_impl
-        print(json.dumps(payload, indent=2, default=list))
-        return 0
+        return _report(payload, len(request_keys[: args.requests]))
 
     if args.net == "tcp" and args.processes:
         from .net import NetProcessRunner
@@ -154,8 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             n_mirrors=args.mirrors, n_requests=args.requests, script=script
         ).run()
         result["event_loop"] = loop_impl
-        print(json.dumps(result, indent=2, default=list))
-        return 0
+        return _report(result, args.requests)
 
     if args.net == "tcp":
         from .net import run_net_scenario
@@ -168,6 +227,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 subscribers=subscribers,
             )
         )
+        # the matched events do not serialise: report how many arrived
+        for result in summary.subscriber_results:
+            result["events"] = len(result["events"])
         payload = asdict(summary)
         payload["backend"] = "tcp(single-process)"
         payload["event_loop"] = loop_impl
@@ -177,8 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if summary.wall_seconds > 0
             else 0.0
         )
-        print(json.dumps(payload, indent=2, default=list))
-        return 0
+        return _report(payload, args.requests)
 
     from .system import AsyncMirroredServer
 
@@ -191,5 +252,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload["backend"] = "asyncio"
     payload["event_loop"] = loop_impl
     payload["replicas_consistent"] = summary.replicas_consistent
-    print(json.dumps(payload, indent=2, default=list))
-    return 0
+    return _report(payload, args.requests)

@@ -53,7 +53,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..core.config import MirrorConfig
 from ..core.events import EventBatch, UpdateEvent
@@ -311,6 +313,8 @@ class IngressRouter:
         self._pending: List[List[UpdateEvent]] = []
         self._readers: List[asyncio.Task] = []
         self._idle = asyncio.Event()
+        #: awaited by :meth:`run_script` between routing and EOS
+        self._eos_holds: List[Awaitable[Any]] = []
         self._map_server: Optional[asyncio.base_events.Server] = None
         self.map_port: Optional[int] = None
         self.shard_events: List[int] = [0] * shard_map.n_shards
@@ -588,8 +592,10 @@ class IngressRouter:
             since_yield += 1
             if since_yield >= 256:
                 since_yield = 0
-                # cooperative yield + backpressure: let shard tasks and
-                # transfer readers run, and respect transport high-water
+                # backpressure only: drain() returns without yielding
+                # unless a transport is paused above its high-water mark,
+                # so until then the router runs ahead of the shards into
+                # the socket buffers (no cooperative yield here)
                 for writer in self._writers:
                     await writer.drain()
         for writer in self._writers:
@@ -609,10 +615,17 @@ class IngressRouter:
         for writer in self._writers:
             await writer.drain()
 
+    def hold_eos(self, until: Awaitable[Any]) -> None:
+        """Make :meth:`run_script` hold EOS — and with it the shards'
+        shutdown — until ``until`` (e.g. a read client's task) is done."""
+        self._eos_holds.append(until)
+
     async def run_script(self, script: EventScript) -> None:
-        """Route the whole script, drain pending handoffs, close the
-        streams with EOS."""
+        """Route the whole script, drain pending handoffs, wait out every
+        :meth:`hold_eos` hold, close the streams with EOS."""
         await self.route_script(script)
+        for hold in self._eos_holds:
+            await hold
         await self.send_eos()
 
     async def close(self) -> None:
@@ -790,11 +803,12 @@ async def run_sharded_scenario(
             client_task = asyncio.create_task(
                 _run_sharded_client(host, map_port, request_keys, client_stats)
             )
+            # the client reads from the shards: their streams stay open
+            # until its last response is in
+            router.hold_eos(client_task)
         await router.run_script(script)
         await asyncio.gather(*runners)
         await router.wait_readers()
-        if client_task is not None:
-            await client_task
         wall = time.monotonic() - t0
     finally:
         if client_task is not None and not client_task.done():
@@ -1087,11 +1101,7 @@ class ShardProcessRunner:
                     client = json.load(fh)
             except FileNotFoundError:
                 client = {"error": "no result file"}
-        digests = [s.get("digest") for s in shards if "digest" in s]
-        merged: List[list] = []
-        for digest in digests:
-            merged.extend(digest)
-        merged.sort(key=lambda flight: flight[0])
+        merged = merge_digests([s["digest"] for s in shards if "digest" in s])
         return {
             "backend": "tcp-sharded",
             "n_shards": self.n_shards,

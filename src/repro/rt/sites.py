@@ -393,23 +393,14 @@ class AsyncCentralSite:
             if isinstance(item, ShardControl):
                 await self._shard_barrier(item)
                 continue
-            batch_size = self.config.batch_size
-            if batch_size <= 1:
-                outs: List[UpdateEvent] = []
-                for passed in self.engine.on_receive(item):
-                    outs.extend(self.engine.on_send(passed))
-                await self.main.inbox.put(item)  # fwd(): EDE sees everything
-                await self._mirror(outs)
-                self.processed_events += 1
-                if self.processed_events % self.config.checkpoint_freq == 0:
-                    await self._initiate_checkpoint()
-                continue
-            # batch path: drain events already waiting on the ready queue
-            # (never awaiting more — an empty queue ships what's in hand)
+            # drain events already waiting on the ready queue, at every
+            # batch size (never awaiting more — an empty queue ships what's
+            # in hand, so a lone event on an idle loop goes out at once)
+            cap = max(self.config.batch_size, self.ready.maxsize)
             members = [item]
             eos_seen = False
             pending_ctrl: Optional[ShardControl] = None
-            while len(members) < batch_size:
+            while len(members) < cap:
                 try:
                     nxt = self.ready.get_nowait()
                 except asyncio.QueueEmpty:

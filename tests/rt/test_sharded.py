@@ -106,6 +106,22 @@ def test_sharded_clients_hit_owning_shards():
     assert all(lat >= 0.0 for lat in summary.client_latencies)
 
 
+def test_script_finishing_before_the_client_still_serves_every_request():
+    """EOS (and with it shard shutdown) waits for the read client: a
+    tiny script is routed long before four slow requests are answered."""
+    sc = script(n_flights=4, positions_per_flight=2, handoffs=0)
+    keys = sorted({se.event.key for se in sc.fresh_events()})
+    summary = run(
+        run_sharded_scenario(
+            script=sc, n_shards=2, request_keys=keys,
+            request_service_delay=0.05,
+        )
+    )
+    assert summary.requests_served == len(keys) == 4
+    assert len(summary.client_latencies) == len(keys)
+    assert min(summary.client_latencies) >= 0.05
+
+
 def test_failure_domains_are_per_shard():
     summary = run(run_sharded_scenario(script=script(), n_shards=2))
     assert len(summary.detector_domains) == 2
